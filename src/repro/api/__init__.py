@@ -46,13 +46,27 @@ from repro.api.routing import (
 )
 from repro.api.resultset import ExecutionOutcome, ResultSet
 from repro.api.statement import Statement, coerce_statement
-from repro.api.session import (
-    Explanation,
-    RESULT_REPLAY_COST,
-    ResultDelta,
-    Session,
-    Subscription,
+
+#: Names served lazily from :mod:`repro.api.session`.  The session sits
+#: above the serving layer, whose modules import :mod:`repro.api.engines`;
+#: importing it eagerly here would make ``import repro.service`` re-enter
+#: its own half-initialised package through this one.
+_SESSION_EXPORTS = (
+    "Explanation",
+    "RESULT_REPLAY_COST",
+    "ResultDelta",
+    "Session",
+    "Subscription",
 )
+
+
+def __getattr__(name: str):
+    if name in _SESSION_EXPORTS:
+        from repro.api import session
+
+        return getattr(session, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AcceleratorEngine",

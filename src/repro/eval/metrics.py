@@ -11,6 +11,9 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Sequence
 
+# Re-exported: the helpers live in ``repro.util`` so lower layers can use them.
+from repro.util.summary import percentile, summarise_latencies  # noqa: F401
+
 
 def speedup(baseline_time: float, accelerated_time: float) -> float:
     """Ratio of baseline to accelerated runtime (> 1 means the accelerator wins)."""
@@ -49,45 +52,6 @@ def summarise_ratios(values: Sequence[float]) -> Dict[str, float]:
         "max": max(values),
         "mean": arithmetic_mean(values),
         "geomean": geometric_mean(values),
-    }
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0-100) of ``values`` by linear interpolation.
-
-    Returns 0 for an empty sequence so summary tables degrade gracefully.
-    """
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile q must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return float(ordered[0])
-    rank = (q / 100.0) * (len(ordered) - 1)
-    lower = int(math.floor(rank))
-    upper = int(math.ceil(rank))
-    if lower == upper:
-        return float(ordered[lower])
-    weight = rank - lower
-    return float(ordered[lower] * (1.0 - weight) + ordered[upper] * weight)
-
-
-def summarise_latencies(values: Sequence[float]) -> Dict[str, float]:
-    """Count / mean / p50 / p95 / max summary of a latency series.
-
-    Used by the serving subsystem (:mod:`repro.service.metrics`) for latency
-    and queue-wait distributions.
-    """
-    values = list(values)
-    if not values:
-        return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
-    return {
-        "count": len(values),
-        "mean": arithmetic_mean(values),
-        "p50": percentile(values, 50),
-        "p95": percentile(values, 95),
-        "max": float(max(values)),
     }
 
 

@@ -128,23 +128,26 @@ class QueryCompiler:
     # ------------------------------------------------------------------ #
     # Step 1: variable ordering
     # ------------------------------------------------------------------ #
-    def choose_variable_order(self, query: ConjunctiveQuery) -> Tuple[str, ...]:
+    def choose_variable_order(
+        self, query: ConjunctiveQuery, prefix: Sequence[str] = ()
+    ) -> Tuple[str, ...]:
         """Appearance-seeded, connectivity-grown variable order (deterministic).
 
         The first variable is the first one the query mentions (matching the
         conventional LFTJ choice and the paper's ``x -> y -> z -> w`` orders);
         every subsequent variable is the remaining one most connected to the
         already ordered prefix, with ties broken by atom count and then first
-        appearance.
+        appearance.  A non-empty ``prefix`` replaces the first-variable seed:
+        the order starts with those variables (duplicates dropped) and grows
+        the rest by the same rule — semi-naive delta terms use it to lead
+        with their delta atom (:mod:`repro.joins.delta`).
         """
         adjacency = query.variable_cooccurrence()
         atom_count: Dict[str, int] = {
             variable: len(query.atoms_with(variable)) for variable in query.variables
         }
-        remaining: List[str] = list(query.variables)
-
-        order: List[str] = [remaining[0]]
-        remaining.remove(order[0])
+        order: List[str] = list(dict.fromkeys(prefix)) or [query.variables[0]]
+        remaining: List[str] = [v for v in query.variables if v not in order]
 
         while remaining:
             def grow_key(variable: str) -> Tuple:

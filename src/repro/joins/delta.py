@@ -20,11 +20,15 @@ The machinery is deliberately thin over the existing compiler/engine stack:
   (``E`` → ``E@delta``).
 * :class:`DeltaPlanner` compiles each rewritten query through the normal
   :class:`~repro.joins.compiler.QueryCompiler` (memoised per signature and
-  atom position).  Variable-order selection keys only on query *structure*,
-  never relation names, so every delta term shares the base query's order
-  and its compiled :class:`~repro.joins.plan.JoinPlan` runs through the
-  same ``slot_program()`` machinery — ``JoinStats`` accounting stays
-  honest for delta joins.
+  atom position).  Each term's variable order *leads with its delta atom*:
+  the delta atom's variables come first, in atom order, and the rest grow
+  by the compiler's connectivity rule.  The join then binds its first
+  levels from the handful of inserted rows and only probes the full
+  relations under those bindings, instead of scanning a full relation
+  before the tiny delta ever filters anything (the standard IVM ordering,
+  as in DBToaster).  The compiled :class:`~repro.joins.plan.JoinPlan` runs
+  through the same ``slot_program()`` machinery as any other plan, so
+  ``JoinStats`` accounting stays honest for delta joins.
 * :class:`DeltaView` is the read-only catalog the delta terms run against:
   delta aliases resolve to a private :class:`Database` holding the batch
   rows; every other name falls through to the base catalog (a
@@ -71,8 +75,7 @@ def delta_rewrites(
 
     Returns ``(atom_index, rewritten_query)`` for every atom whose relation
     is in ``relation_names``; the rewritten query differs from ``query``
-    only in that one atom's relation name, so its variable structure — and
-    therefore the compiler's chosen variable order — is identical.
+    only in that one atom's relation name.
     """
     changed = set(relation_names)
     rewrites: List[Tuple[int, ConjunctiveQuery]] = []
@@ -164,6 +167,8 @@ class DeltaPlanner:
     Plans depend only on query structure and relation names (both carried
     by the canonical signature), never on data, so one compilation per
     ``(signature, relation, atom position)`` serves every subsequent batch.
+    Each term's variable order starts with its delta atom's variables (see
+    the module docstring).
     """
 
     def __init__(self, compiler: Optional[QueryCompiler] = None):
@@ -180,7 +185,12 @@ class DeltaPlanner:
             key = (signature, query.atoms[index].relation, index)
             plan = self._memo.get(key)
             if plan is None:
-                plan = DeltaPlan(index, rewritten, self.compiler.compile(rewritten))
+                order = self.compiler.choose_variable_order(
+                    rewritten, prefix=rewritten.atoms[index].variables
+                )
+                plan = DeltaPlan(
+                    index, rewritten, self.compiler.compile(rewritten, variable_order=order)
+                )
                 self._memo[key] = plan
             plans.append(plan)
         return tuple(plans)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.eval.metrics import summarise_latencies
-from repro.eval.reporting import format_table
+from repro.util.summary import format_table, summarise_latencies
 from repro.obs.export import read_jsonl
 from repro.obs.trace import PROCESS_TRACE_ID
 

@@ -38,6 +38,7 @@ execution backend's job.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
@@ -248,6 +249,9 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
         # key -> the query the entry answers; only entries that recorded one
         # are patchable by the incremental-maintenance path.
         self._queries: Dict[str, ConjunctiveQuery] = {}
+        # Keys whose entry :meth:`patch_result` already holds sorted and
+        # deduplicated; cleared whenever the entry is replaced or leaves.
+        self._sorted: Set[str] = set()
 
     def put_result(
         self,
@@ -276,6 +280,7 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
                 self._dependents.setdefault(relation, {}).setdefault(shard, set()).add(key)
             if query is not None:
                 self._queries[key] = query
+            self._sorted.discard(key)
             self.put(key, tuples)
 
     def dependent_keys(self, event: MutationEvent) -> Tuple[str, ...]:
@@ -313,11 +318,18 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
             return self._queries.get(key)
 
     def patch_result(self, key: str, rows: Iterable[Tuple[int, ...]]) -> bool:
-        """Merge delta ``rows`` into ``key``'s cached result, in place.
+        """Merge delta ``rows`` into ``key``'s cached result.
 
         The entry's tuples become the sorted set union of the old result
         and the delta — set semantics, matching every engine's dedup on
-        merge.  Counted under ``patches`` (never ``replacements``); LRU
+        merge.  The merge never mutates the cached list (an earlier
+        :meth:`get` may still hold it); it installs a new one.  Only an
+        entry's first non-empty patch pays the full ``sorted(set | set)``,
+        since engine output order is arbitrary; the cache then records the
+        entry as sorted, and later patches copy it and bisect-insert just
+        the delta rows it lacks.  :meth:`put_result`, a drop and an
+        eviction clear that record.  An empty delta leaves the entry as it
+        is.  Counted under ``patches`` (never ``replacements``); LRU
         recency is left untouched, exactly like a drop would not have
         refreshed it.  Returns ``False`` (and changes nothing) when the
         key is absent — the caller then falls back to a drop.
@@ -326,11 +338,20 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
             current = self._entries.get(key)
             if current is None:
                 return False
-            delta = [tuple(row) for row in rows]
-            self._entries[key] = (
-                sorted(set(current) | set(delta)) if delta else list(current)
-            )
             self.stats.patches += 1
+            delta = sorted({tuple(row) for row in rows})
+            if not delta:
+                return True
+            if key in self._sorted:
+                merged = list(current)
+                for row in delta:
+                    index = bisect_left(merged, row)
+                    if index == len(merged) or merged[index] != row:
+                        merged.insert(index, row)
+            else:
+                merged = sorted(set(current).union(delta))
+                self._sorted.add(key)
+            self._entries[key] = merged
             return True
 
     def maintain(
@@ -387,4 +408,5 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
                 del self._dependents[relation]
 
     def _on_evict(self, key: str) -> None:
+        self._sorted.discard(key)
         self._drop_dependency_index(key)

@@ -8,7 +8,12 @@ to the catalog's mutation events and, for *patchable* events (exact insert
 batches, see :attr:`repro.relational.catalog.MutationEvent.patchable`),
 computes each dependent entry's **delta result** with a semi-naive delta
 join (:func:`repro.joins.delta.evaluate_delta`) and merges it into the
-cached entry in place.  Non-patchable events — relation (re)definitions,
+cached entry (:meth:`~repro.service.caches.ResultCache.patch_result`).
+Both halves cost in proportion to the batch, not to the relation or the
+cached result: every delta term's variable order leads with its delta atom,
+so the join starts from the inserted rows, and a patched entry stays sorted
+so later patches bisect-insert the new rows instead of re-sorting the
+result.  Non-patchable events — relation (re)definitions,
 inexact batches — and any solver failure fall back to the historical drop,
 so maintenance can degrade to recompute but never to a wrong answer.
 
@@ -82,6 +87,12 @@ class MaintenanceReport:
 
 class ResultMaintainer:
     """Routes catalog mutation events to patch-or-drop cache maintenance.
+
+    For a patchable insert batch, each dependent entry's delta result comes
+    from delta-first semi-naive terms (:class:`~repro.joins.delta.DeltaPlanner`
+    compiles each term to start at the inserted rows) and is merged by
+    :meth:`~repro.service.caches.ResultCache.patch_result`, which keeps a
+    patched entry sorted and bisect-inserts later deltas into a copy.
 
     Parameters
     ----------

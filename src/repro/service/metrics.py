@@ -5,9 +5,9 @@ finish times in the service's virtual clock, the backend that ran it, and
 which cache layer — result cache, plan cache, or a fresh compile — satisfied
 it).  :class:`ServiceMetrics` aggregates the records into the summaries the
 service report prints: latency and queue-wait distributions (via
-:func:`repro.eval.metrics.summarise_latencies`), per-backend and
+:func:`repro.util.summary.summarise_latencies`), per-backend and
 per-priority breakdowns, and cache hit rates, all rendered through
-:mod:`repro.eval.reporting` so service reports look like the paper's
+:mod:`repro.util.summary` so service reports look like the paper's
 tables.
 """
 
@@ -16,8 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.eval.metrics import summarise_latencies
-from repro.eval.reporting import format_latency_summary, format_table
+from repro.util.summary import (
+    format_latency_summary,
+    format_table,
+    summarise_latencies,
+)
 
 
 @dataclass

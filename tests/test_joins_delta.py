@@ -12,7 +12,7 @@ slot-program machinery.
 import pytest
 
 from repro.api.engines import create_engine
-from repro.graphs import pattern_query
+from repro.graphs import PATTERN_NAMES, pattern_query
 from repro.joins.delta import (
     DELTA_SUFFIX,
     DeltaPlanner,
@@ -91,12 +91,17 @@ class TestPlannerMemoisation:
         for a, b in zip(first, second):
             assert a is b  # memoised, not recompiled
 
-    def test_terms_share_the_base_variable_order(self):
+    def test_terms_lead_with_the_delta_atom(self):
         planner = DeltaPlanner()
-        query = pattern_query("cycle3")
-        base_order = planner.compiler.compile(query).variable_order
-        for plan in planner.plans_for(query, ["E"]):
-            assert plan.plan.variable_order == base_order
+        for name in PATTERN_NAMES:
+            query = pattern_query(name)
+            first = planner.plans_for(query, ["E"])
+            for a, b in zip(first, planner.plans_for(query, ["E"])):
+                variables = query.atoms[a.atom_index].variables
+                order = a.plan.variable_order
+                assert order[: len(variables)] == variables
+                assert sorted(order) == sorted(query.variables)
+                assert a is b  # still memoised
 
 
 class TestEvaluateDelta:

@@ -44,16 +44,16 @@ from repro.api.routing import (
     RouteDecision,
     choose_engine,
 )
-from repro.api.resultset import ExecutionOutcome, ResultSet
+from repro.api.resultset import ResultSet
 from repro.api.statement import Statement, coerce_statement
 
-#: Names served lazily from :mod:`repro.api.session`.  The session sits
-#: above the serving layer, whose modules import :mod:`repro.api.engines`;
-#: importing it eagerly here would make ``import repro.service`` re-enter
-#: its own half-initialised package through this one.
+#: Names served lazily from :mod:`repro.api.session` (and the service's
+#: ``RESULT_REPLAY_COST``).  The session sits above the serving layer, whose
+#: modules import :mod:`repro.api.engines`; importing it eagerly here would
+#: make ``import repro.service`` re-enter its own half-initialised package
+#: through this one.
 _SESSION_EXPORTS = (
     "Explanation",
-    "RESULT_REPLAY_COST",
     "ResultDelta",
     "Session",
     "Subscription",
@@ -65,6 +65,10 @@ def __getattr__(name: str):
         from repro.api import session
 
         return getattr(session, name)
+    if name == "RESULT_REPLAY_COST":
+        from repro.service.service import RESULT_REPLAY_COST
+
+        return RESULT_REPLAY_COST
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -83,7 +87,6 @@ __all__ = [
     "EngineEstimate",
     "RouteDecision",
     "choose_engine",
-    "ExecutionOutcome",
     "ResultSet",
     "Statement",
     "coerce_statement",

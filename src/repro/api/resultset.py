@@ -3,45 +3,28 @@
 The old entry points returned bare ``JoinResult`` / ``BackendExecution``
 objects, each with a different shape.  A :class:`ResultSet` is the single
 API-boundary result type: it knows its query, canonical signature, routed
-engine and plan up front, and defers the actual execution until the tuples
-are first consumed (iteration, :meth:`to_list`, ``len``, ``.stats``...).
-Execution happens exactly once and is memoised; the caches of the owning
-:class:`~repro.api.session.Session` are populated at that moment, not at
-submit time, so a ResultSet that is never consumed never pays for — or
+engine and route decision up front, and defers the actual execution until
+the tuples are first consumed (iteration, :meth:`to_list`, ``len``,
+``.stats``...).  Forcing it submits one request to the owning session's
+:class:`~repro.service.QueryService` and serves it, exactly once; the
+resulting :class:`~repro.service.QueryOutcome` (tuples, ``QueryRecord``,
+engine execution and trace) backs every property.  The service's caches
+are probed and populated at that moment, not at :meth:`Session.execute`
+time, so a ResultSet that is never consumed never pays for — or
 publishes — a result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 from repro.api.routing import RouteDecision
 from repro.joins.plan import JoinPlan
 from repro.joins.stats import JoinStats
 from repro.relational.query import ConjunctiveQuery
 
-
-@dataclass
-class ExecutionOutcome:
-    """What a ResultSet's executor produces (one per ResultSet, memoised)."""
-
-    tuples: List[Tuple[int, ...]]
-    cost: float
-    from_cache: bool
-    stats: Optional[JoinStats] = None
-    plan: Optional[JoinPlan] = None
-    report: Optional[object] = None
-    count: Optional[int] = None
-    plan_cache_hit: bool = False
-    compiled: bool = False
-    scatter: Optional[object] = None
-    trace: Optional[object] = None  # finished repro.obs Span, when tracing
-    #: Graceful degradation (see repro.service.faults): a degraded outcome
-    #: is the union of the surviving shard fragments only; ``missing_shards``
-    #: lists the shards whose fragments were unavailable.
-    degraded: bool = False
-    missing_shards: Tuple[int, ...] = ()
+if TYPE_CHECKING:  # the service layer imports this package's engines
+    from repro.service.service import QueryOutcome
 
 
 class ResultSet:
@@ -52,7 +35,7 @@ class ResultSet:
         query: ConjunctiveQuery,
         signature: str,
         backend: str,
-        executor: Callable[[], ExecutionOutcome],
+        executor: Callable[[], "QueryOutcome"],
         route: Optional[RouteDecision] = None,
     ):
         self.query = query
@@ -60,7 +43,7 @@ class ResultSet:
         self.backend = backend
         self.route = route
         self._executor = executor
-        self._outcome: Optional[ExecutionOutcome] = None
+        self._outcome: Optional["QueryOutcome"] = None
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -70,10 +53,15 @@ class ResultSet:
         """Whether the execution has been forced yet."""
         return self._outcome is not None
 
-    def _force(self) -> ExecutionOutcome:
+    def _force(self) -> "QueryOutcome":
         if self._outcome is None:
             self._outcome = self._executor()
         return self._outcome
+
+    def _execution_field(self, name: str, default=None):
+        """One field of the engine execution (``default`` for cache replays)."""
+        execution = self._force().execution
+        return default if execution is None else getattr(execution, name)
 
     # ------------------------------------------------------------------ #
     # Tuples
@@ -99,10 +87,7 @@ class ResultSet:
     @property
     def cardinality(self) -> int:
         """Result count (the aggregated count for count-only executions)."""
-        outcome = self._force()
-        if outcome.tuples:
-            return len(outcome.tuples)
-        return outcome.count if outcome.count is not None else 0
+        return self._force().cardinality
 
     # ------------------------------------------------------------------ #
     # Provenance
@@ -110,17 +95,17 @@ class ResultSet:
     @property
     def stats(self) -> Optional[JoinStats]:
         """Algorithm counters of the run (``None`` for cache replays)."""
-        return self._force().stats
+        return self._execution_field("stats")
 
     @property
     def plan(self) -> Optional[JoinPlan]:
         """The compiled plan the run used (``None`` for plan-blind engines)."""
-        return self._force().plan
+        return self._execution_field("plan")
 
     @property
     def report(self) -> Optional[object]:
         """The accelerator run report, when the engine produced one."""
-        return self._force().report
+        return self._execution_field("report")
 
     @property
     def shard_stats(self) -> Optional[object]:
@@ -130,7 +115,7 @@ class ResultSet:
         statement ran over a sharded catalog; ``None`` for monolithic
         executions and cache replays.
         """
-        return self._force().scatter
+        return self._execution_field("scatter")
 
     @property
     def degraded(self) -> bool:
@@ -140,12 +125,12 @@ class ResultSet:
         plan; a degraded result is exactly the union of the surviving shard
         fragments and is never entered into the result cache.
         """
-        return self._force().degraded
+        return self._force().record.degraded
 
     @property
     def missing_shards(self) -> Tuple[int, ...]:
         """Shards whose fragments are absent from a degraded answer."""
-        return self._force().missing_shards
+        return self._execution_field("missing_shards", ())
 
     @property
     def trace(self) -> Optional[object]:
@@ -159,12 +144,12 @@ class ResultSet:
     @property
     def cost(self) -> float:
         """Deterministic service cost of the run, in modelled nanoseconds."""
-        return self._force().cost
+        return self._force().record.service_time
 
     @property
     def from_cache(self) -> bool:
-        """True when the tuples were replayed from the session result cache."""
-        return self._force().from_cache
+        """True when the tuples were replayed from the service result cache."""
+        return self._force().record.result_cache_hit
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = f"{len(self._outcome.tuples)} tuples" if self.executed else "pending"

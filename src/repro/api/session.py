@@ -1,23 +1,25 @@
 """Session: the repository's single public entry point.
 
-A :class:`Session` owns a :class:`~repro.relational.catalog.Database`, the
-plan and result caches, an engine table resolved through the shared
-registry (:mod:`repro.api.engines`) and a cost router
-(:mod:`repro.api.routing`).  It exposes three verbs::
+A :class:`Session` is a thin facade over one
+:class:`repro.service.QueryService`, built with it: the service owns the
+catalog wiring, the plan and result caches, the scatter-gather executor of a
+sharded catalog, the incremental maintainer, the fault injector, the route
+memo and the execution backend.  The session resolves statements, routes
+them through its cost router (:mod:`repro.api.routing`) over the engine
+table resolved from the shared registry (:mod:`repro.api.engines`), and
+exposes three verbs::
 
     session = Session(database)
     session.execute("cycle3")            # -> ResultSet (lazy, cached, routed)
     session.explain("cycle3")            # -> Explanation (route, plan, costs)
-    session.serve(WorkloadSpec(...))     # -> concurrent serving via repro.service
+    session.serve(WorkloadSpec(...))     # -> a request stream on the same service
 
-``execute`` is the synchronous single-statement path: resolve the statement,
-route it (cost-based by default, or pinned to a named engine), and return a
-lazy :class:`~repro.api.resultset.ResultSet`; the session's result cache
-answers α-equivalent repeats without touching an engine, and its plan cache
-compiles each canonical signature exactly once.  ``serve`` delegates a whole
-request stream to :class:`repro.service.QueryService`, sharing this
-session's database, caches, engine instances and router, so results cached
-by either path are visible to both.
+``execute`` resolves, validates, signs and routes the statement at call
+time and returns a lazy :class:`~repro.api.resultset.ResultSet`; forcing it
+submits one request, pinned to the routed engine, and serves it.  There is
+one query pipeline: synchronous executions and served workloads share the
+caches, counters, ``QueryRecord`` history, traces, circuit breakers and
+maintenance by construction.
 """
 
 from __future__ import annotations
@@ -26,30 +28,17 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.api.engines import EngineProtocol, create_engine, engine_names
-from repro.api.resultset import ExecutionOutcome, ResultSet
+from repro.api.resultset import ResultSet
 from repro.api.routing import CostRouter, RouteDecision
 from repro.api.statement import Statement, coerce_statement
 from repro.joins.compiler import QueryCompiler
 from repro.joins.plan import JoinPlan
-from repro.obs.instrument import attach_scatter_legs, join_stats_attributes
-from repro.obs.trace import coerce_tracer
 from repro.relational.catalog import Database, MutationEvent
 from repro.relational.query import ConjunctiveQuery
 from repro.relational.sharding import ShardedDatabase, shard_database
-from repro.service.caches import PlanCache, ResultCache
-from repro.service.faults import (
-    FaultInjector,
-    FaultPlan,
-    RetryPolicy,
-    coerce_fault_plan,
-)
-from repro.service.maintenance import (
-    MaintenanceReport,
-    ResultMaintainer,
-    check_maintenance_mode,
-)
-from repro.service.scatter import ScatterGatherExecutor
-from repro.service.service import RESULT_REPLAY_COST
+from repro.service.faults import FaultPlan, RetryPolicy
+from repro.service.maintenance import ResultMaintainer, check_maintenance_mode
+from repro.service.service import QueryService
 from repro.util.validation import check_positive
 
 
@@ -110,9 +99,7 @@ class Subscription:
     def close(self) -> None:
         """Stop maintaining this subscription (idempotent)."""
         self.closed = True
-        self._session._subscriptions = [
-            s for s in self._session._subscriptions if s is not self
-        ]
+        self._session._unsubscribe(self)
 
     def __enter__(self) -> "Subscription":
         return self
@@ -147,51 +134,50 @@ class Explanation:
 
 
 class Session:
-    """Unified facade over the catalog, the caches and the engine registry.
+    """Unified facade over the catalog, the engine registry and one service.
 
     Parameters
     ----------
     database:
         The catalog statements run against (a fresh empty one by default).
-        The session subscribes its result cache to the catalog's
-        invalidation events, so mutations through :meth:`insert` (or the
-        catalog itself) drop dependent cached results.
+        The session's service subscribes its caches to the catalog's
+        mutation events, so mutations through :meth:`insert` (or the
+        catalog itself) drop — or patch — dependent cached results.
     engines:
         Engine names (resolved through the shared registry) and/or ready
         :class:`~repro.api.engines.EngineProtocol` instances.  Defaults to
         every registered engine.
     routing:
-        ``"auto"`` (default) routes unpinned work through the cost router;
-        ``"rotate"`` keeps the legacy round-robin when serving workloads.
+        ``"auto"`` (default) routes unpinned served requests through the
+        cost router; ``"rotate"`` keeps the legacy round-robin for them.
+        :meth:`execute` always routes on cost (or pins a named engine).
     shards / partitioner:
         ``shards > 1`` re-partitions the database into a
         :class:`~repro.relational.sharding.ShardedDatabase` (``"hash"`` or
         ``"range"`` over each relation's first attribute) and executes
         statements by scatter-gather; a database that is already sharded is
-        used as-is.  The session keeps a shard-aware partial-result cache,
+        used as-is.  The service keeps a shard-aware partial-result cache,
         so mutating one shard re-executes only that shard's fragment.
     concurrency / execution_backend:
-        How :meth:`serve` physically executes admitted requests.
-        ``concurrency=1`` (default) keeps the deterministic virtual-time
-        loop; ``concurrency=N`` (N > 1) serves through a
-        :class:`~repro.service.backends.ThreadPoolBackend` with ``N``
-        workers — same results, cache contents and admission decisions,
-        with engine work overlapping on the host.  ``execution_backend``
-        pins a backend name from the registry (``"virtual"``,
-        ``"threads"``, or ``"process"`` — the latter ships plan-aware
-        engine work to worker processes over shared-memory trie segments,
-        see :mod:`repro.service.shm`) or a ready
-        :class:`~repro.service.backends.ExecutionBackend` instance.
+        How the service physically executes admitted requests — those of
+        :meth:`serve` and the single request of each forced
+        :meth:`execute`.  ``concurrency=1`` (default) keeps the
+        deterministic virtual-time loop; ``concurrency=N`` (N > 1) runs
+        engine work on a :class:`~repro.service.backends.ThreadPoolBackend`
+        with ``N`` workers — same results, cache contents and admission
+        decisions.  ``execution_backend`` pins a backend name from the
+        registry (``"virtual"``, ``"threads"``, or ``"process"`` — the
+        latter ships plan-aware engine work to worker processes over
+        shared-memory trie segments, see :mod:`repro.service.shm`) or a
+        ready :class:`~repro.service.backends.ExecutionBackend` instance.
         Pooled backends own host resources (worker pools, shared-memory
         segments); :meth:`close` releases them and is idempotent.
     max_in_flight / max_queue_depth / seed:
-        Admission-control knobs for :meth:`serve`.
+        Admission-control knobs of the service.
     trace:
-        ``True`` (or a ready :class:`repro.obs.Tracer`) records a span tree
-        for every execution — the synchronous :meth:`execute` path finishes
-        one trace per forced :class:`ResultSet` (surfaced as
-        ``ResultSet.trace``), and :meth:`serve` shares the same tracer with
-        the service layer, so one export covers both paths.  Default
+        ``True`` (or a ready :class:`repro.obs.Tracer`) makes the service
+        record a span tree per request; a forced :class:`ResultSet`
+        surfaces its request's tree as ``ResultSet.trace``.  Default
         ``None`` keeps the zero-overhead no-op tracer.
     storage_dir:
         Open (or initialise) the durable store at this directory and use it
@@ -205,25 +191,27 @@ class Session:
         Fault-tolerance knobs for sharded catalogs (see
         :mod:`repro.service.faults`).  ``faults`` arms a deterministic
         fault injector from a :class:`~repro.service.faults.FaultPlan` or a
-        spec string like ``"slow:0*3;down:1@100-inf"``; ``on_shard_loss``
-        selects between raising a typed
+        spec string like ``"slow:0*3;down:1@100-inf"`` (an empty plan arms
+        nothing); ``on_shard_loss`` selects between raising a typed
         :class:`~repro.service.faults.ShardUnavailableError` (``"fail"``,
         default) and returning a flagged partial result (``"partial"`` —
         see :attr:`ResultSet.degraded`); ``retry_policy`` overrides the
         default timeout/backoff/hedging/breaker parameters; and
         ``replication_factor > 1`` stores that many copies of every
         partitioned fragment on distinct shards so retries can move to a
-        replica.  All four thread through both :meth:`execute` and
-        :meth:`serve`.
+        replica.
     maintenance:
-        How the session's caches track catalog mutations.  ``"recompute"``
-        (default, the historical behaviour) drops every dependent cached
-        result.  ``"incremental"`` patches cached results — and the
-        shard-partial cache of a sharded catalog — in place with
-        semi-naive delta joins (:mod:`repro.joins.delta`) for patchable
-        events (exact insert batches); anything else still drops, so a
-        stale answer is never served.  Also selects how
+        How the caches track catalog mutations.  ``"recompute"`` (default)
+        drops every dependent cached result.  ``"incremental"`` patches
+        cached results — and the shard-partial cache of a sharded catalog —
+        in place with semi-naive delta joins (:mod:`repro.joins.delta`) for
+        patchable events (exact insert batches); anything else still
+        drops, so a stale answer is never served.  Also selects how
         :meth:`subscribe` subscriptions are advanced.
+
+    ``service``, ``plan_cache``, ``result_cache``, ``maintainer`` (``None``
+    under ``"recompute"``), ``tracer`` and ``engines`` are the service's own
+    objects.
     """
 
     def __init__(
@@ -250,6 +238,8 @@ class Session:
         replication_factor: int = 1,
         maintenance: str = "recompute",
     ):
+        # Checked before a durable store is opened, so a bad knob leaks no
+        # file handle (the service checks maintenance and on_shard_loss too).
         if routing not in ("auto", "rotate"):
             raise ValueError(f"routing must be 'auto' or 'rotate', got {routing!r}")
         check_maintenance_mode(maintenance)
@@ -257,6 +247,7 @@ class Session:
             raise ValueError(
                 f"on_shard_loss must be 'fail' or 'partial', got {on_shard_loss!r}"
             )
+        check_positive("shards", shards)
         check_positive("concurrency", concurrency)
         if storage_dir is not None:
             if database is not None:
@@ -287,81 +278,38 @@ class Session:
         self.compiler = compiler or QueryCompiler(enable_caching=True)
         self.router = router or CostRouter()
         self.routing = routing
-        self.engines: Dict[str, EngineProtocol] = {}
-        for entry in engines if engines is not None else engine_names():
-            self.add_engine(create_engine(entry) if isinstance(entry, str) else entry)
-        if not self.engines:
-            raise ValueError("Session needs at least one engine")
-        self.plan_cache = PlanCache(plan_cache_capacity)
-        self.result_cache = ResultCache(result_cache_capacity)
-        self.max_in_flight = max_in_flight
-        self.max_queue_depth = max_queue_depth
         self.seed = seed
-        self.concurrency = concurrency
-        self.execution_backend = execution_backend
-        self.tracer = coerce_tracer(trace)
-        # Virtual-time cursor of the synchronous execute() path: each forced
-        # execution occupies [cursor, cursor + cost] on the trace timeline.
-        self._trace_clock = 0.0
-        self._service = None
-        self._route_memo: Dict[Tuple[str, str], RouteDecision] = {}
-        self._closed = False
-        self.fault_plan = (
-            coerce_fault_plan(faults, seed=seed) if faults is not None else None
+        engine_table: Dict[str, EngineProtocol] = {}
+        for entry in engines if engines is not None else engine_names():
+            engine = create_engine(entry) if isinstance(entry, str) else entry
+            engine_table[engine.name] = engine
+        if not engine_table:
+            raise ValueError("Session needs at least one engine")
+        self.service = QueryService(
+            database,
+            backends=tuple(engine_table.values()),
+            compiler=self.compiler,
+            plan_cache_capacity=plan_cache_capacity,
+            result_cache_capacity=result_cache_capacity,
+            max_in_flight=max_in_flight,
+            max_queue_depth=max_queue_depth,
+            seed=seed,
+            router=self.router if routing == "auto" else None,
+            backend=execution_backend,
+            workers=concurrency,
+            tracer=trace,
+            faults=faults,
+            on_shard_loss=on_shard_loss,
+            retry_policy=retry_policy,
+            maintenance=maintenance,
         )
-        self.on_shard_loss = on_shard_loss
-        self.retry_policy = retry_policy
-        self.maintenance = maintenance
+        self.engines: Dict[str, EngineProtocol] = self.service.backends
+        self.plan_cache = self.service.plan_cache
+        self.result_cache = self.service.result_cache
+        self.maintainer: Optional[ResultMaintainer] = self.service.maintainer
+        self.tracer = self.service.tracer
         self._subscriptions: list = []
-        if isinstance(self.database, ShardedDatabase):
-            self._partial_cache: Optional[ResultCache] = ResultCache(
-                result_cache_capacity
-            )
-            injector = (
-                FaultInjector(self.fault_plan)
-                if self.fault_plan is not None and not self.fault_plan.empty
-                else None
-            )
-            self._scatter: Optional[ScatterGatherExecutor] = ScatterGatherExecutor(
-                self.database,
-                self._partial_cache,
-                compiler=self.compiler,
-                retry_policy=retry_policy,
-                injector=injector,
-                on_shard_loss=on_shard_loss,
-            )
-        else:
-            self._partial_cache = None
-            self._scatter = None
-        if maintenance == "incremental":
-            # One maintainer patches both caches from inside
-            # _on_catalog_mutation; the partial cache must NOT also be
-            # subscribed to plain invalidation, or patched fragments would
-            # be dropped right after.
-            self._maintainer: Optional[ResultMaintainer] = ResultMaintainer(
-                self.database,
-                self.result_cache,
-                scatter=self._scatter,
-                compiler=self.compiler,
-                mode="incremental",
-                clock=self._clock_now,
-            )
-        else:
-            self._maintainer = None
-            if self._partial_cache is not None:
-                self.database.subscribe_invalidation(self._partial_cache.invalidate)
-        self.database.subscribe_invalidation(self._on_catalog_mutation)
-
-    def _on_catalog_mutation(self, event: MutationEvent) -> None:
-        if self._maintainer is not None:
-            report: Optional[MaintenanceReport] = self._maintainer.on_mutation(event)
-        else:
-            report = None
-            self.result_cache.invalidate(event)
-        # Cost estimates depend on relation statistics; recompute on change.
-        self._route_memo.clear()
-        if self._subscriptions:
-            self._notify_subscriptions(event, report)
+        self._closed = False
 
     # ------------------------------------------------------------------ #
     # Continuous queries
@@ -376,36 +324,37 @@ class Session:
         Under ``maintenance="incremental"`` the update is a semi-naive
         delta join; otherwise the statement is re-executed and diffed.
         """
-        stmt = coerce_statement(statement)
-        query = stmt.resolve(self.database)
-        self.database.validate_query(query)
-        signature = self.compiler.signature(query)
+        _, query, signature = self._prepare(statement)
         subscription = Subscription(self, query, signature)
+        if not self._subscriptions:
+            # Registered after the service's own listener, so subscriptions
+            # advance over caches already maintained for each event.
+            self.database.subscribe_invalidation(self._notify_subscriptions)
         self._subscriptions.append(subscription)
         return subscription
 
-    def _notify_subscriptions(
-        self, event: MutationEvent, report: Optional[MaintenanceReport]
-    ) -> None:
+    def _unsubscribe(self, subscription: Subscription) -> None:
+        self._subscriptions = [s for s in self._subscriptions if s is not subscription]
+        if not self._subscriptions:
+            self.database.unsubscribe_invalidation(self._notify_subscriptions)
+
+    def _notify_subscriptions(self, event: MutationEvent) -> None:
         """Advance every live subscription past one catalog mutation.
 
-        Runs inside the catalog's notification, *after* the caches were
-        maintained for the event — the recompute diff below may therefore
-        be answered straight from the (already patched or dropped) result
-        cache.  A delta is queued only when the result actually changed.
+        Runs inside the catalog's notification, *after* the service
+        maintained its caches for the event — the recompute diff below may
+        therefore be answered straight from the (already patched or
+        dropped) result cache.  A delta is queued only when the result
+        actually changed.
         """
-        incremental = (
-            self._maintainer is not None
-            and report is not None
-            and report.patchable
-        )
+        incremental = self.maintainer is not None and event.patchable
         for subscription in list(self._subscriptions):
             if event.relation not in subscription.query.relation_names():
                 continue
             added: Tuple[Tuple[int, ...], ...]
             removed: Tuple[Tuple[int, ...], ...] = ()
             if incremental:
-                delta = self._maintainer.delta_for(subscription.query, event)
+                delta = self.maintainer.delta_for(subscription.query, event)
                 added = tuple(
                     sorted(t for t in delta if t not in subscription._snapshot)
                 )
@@ -426,49 +375,24 @@ class Session:
                     )
                 )
 
-    def _clock_now(self) -> float:
-        """The session's best-estimate virtual time, for maintenance checks.
-
-        The sync ``execute()`` path advances ``_trace_clock``; workloads
-        served through :attr:`service` advance the service's own clock.
-        The maintainer reads whichever is further along.
-        """
-        clock = self._trace_clock
-        if self._service is not None:
-            clock = max(clock, self._service.clock)
-        return clock
-
     @property
     def num_shards(self) -> int:
         """Shard count of the session's catalog (1 for a monolithic database)."""
         return getattr(self.database, "num_shards", 1)
 
-    @property
-    def maintainer(self) -> Optional[ResultMaintainer]:
-        """The incremental maintainer, or ``None`` under ``recompute``.
-
-        Exposes the per-mutation :class:`MaintenanceReport` history and the
-        accumulated delta-join cost (``maintainer.cost_ns``, virtual ns) so
-        benchmarks can charge patching honestly against recomputation.
-        """
-        return self._maintainer
-
     def close(self) -> None:
-        """Detach this session from its catalog (idempotent).
+        """Detach this session and its service from the catalog (idempotent).
 
-        Unsubscribes the invalidation callbacks (the session's and its
-        partial-result cache's), so short-lived sessions over a long-lived
-        shared database do not accumulate dead listeners.  A closed session
+        Unsubscribes the mutation listeners, so short-lived sessions over a
+        long-lived shared database do not accumulate dead listeners, and
+        releases the execution backend's host resources.  A closed session
         can still execute; its cached results simply stop tracking catalog
         mutations.
         """
         if not self._closed:
-            self.database.unsubscribe_invalidation(self._on_catalog_mutation)
-            if self._partial_cache is not None and self._maintainer is None:
-                self.database.unsubscribe_invalidation(self._partial_cache.invalidate)
+            self.database.unsubscribe_invalidation(self._notify_subscriptions)
             self._subscriptions = []
-            if self._service is not None:
-                self._service.close()  # shut down execution-backend pools
+            self.service.close()
             if self._owns_database:
                 # A durable catalog opened via storage_dir= belongs to this
                 # session; release its WAL/SQLite handles.
@@ -502,18 +426,22 @@ class Session:
     # ------------------------------------------------------------------ #
     def add_engine(self, engine: EngineProtocol) -> None:
         """Make ``engine`` available to this session (latest name wins)."""
-        self.engines[engine.name] = engine
-        # The candidate set changed; cached routing decisions are stale.
-        if hasattr(self, "_route_memo"):
-            self._route_memo.clear()
+        self.service.add_backend(engine)
 
     def engine_names(self) -> Tuple[str, ...]:
         """Engines configured on this session, sorted."""
         return tuple(sorted(self.engines))
 
     # ------------------------------------------------------------------ #
-    # Routing
+    # Statement preparation and routing
     # ------------------------------------------------------------------ #
+    def _prepare(self, statement: object) -> Tuple[Statement, ConjunctiveQuery, str]:
+        """Resolve, validate and sign ``statement`` against the catalog."""
+        stmt = coerce_statement(statement)
+        query = stmt.resolve(self.database)
+        self.database.validate_query(query)
+        return stmt, query, self.compiler.signature(query)
+
     def _route(
         self,
         query: ConjunctiveQuery,
@@ -521,19 +449,9 @@ class Session:
         signature: str,
         with_estimates: bool = False,
     ) -> RouteDecision:
-        """Route ``query``; auto decisions are memoised per signature.
-
-        Estimates are pure functions of (query structure, relation
-        statistics), so one decision per canonical signature holds until
-        the catalog mutates (the memo is cleared on invalidation events).
-        """
+        """Route ``query``: auto decisions come from the service's route memo."""
         if route in (None, "auto"):
-            key = (signature, "auto")
-            if key not in self._route_memo:
-                self._route_memo[key] = self.router.choose(
-                    query, self.database, self.engines
-                )
-            return self._route_memo[key]
+            return self.service.route(query, signature, self.router)
         return self.router.pinned(
             route, query, self.database, self.engines, with_estimates=with_estimates
         )
@@ -548,144 +466,20 @@ class Session:
         or a string (SQL, datalog, or a pattern name).  ``route="auto"``
         picks the cheapest eligible engine from the cost estimates; any
         configured engine name pins the choice.  Execution is deferred to
-        the first consumption of the ResultSet and memoised; the result
-        cache is consulted/populated at that moment.
+        the first consumption of the ResultSet and memoised: forcing it
+        submits one request, pinned to the routed engine, and serves it
+        (draining anything else pending on the service).
         """
-        stmt = coerce_statement(statement)
-        query = stmt.resolve(self.database)
-        self.database.validate_query(query)
-        signature = self.compiler.signature(query)
+        _, query, signature = self._prepare(statement)
         decision = self._route(query, route, signature)
-        engine = self.engines[decision.chosen]
-
-        def run() -> ExecutionOutcome:
-            cached = self.result_cache.get(signature)
-            if cached is not None:
-                return ExecutionOutcome(
-                    tuples=cached, cost=RESULT_REPLAY_COST, from_cache=True
-                )
-            scatter_spec = (
-                self._scatter.spec_for(query) if self._scatter is not None else None
-            )
-            if scatter_spec is not None:
-                # Sharded catalog: scatter-gather through the executor
-                # (rewritten plans and per-shard partials live there, so
-                # the session plan cache is bypassed).
-                execution = self._scatter.execute(
-                    query, engine, spec=scatter_spec, now=self._trace_clock
-                )
-                if execution.cacheable:
-                    self.result_cache.put_result(
-                        signature, execution.tuples, query.relation_names(),
-                        query=query,
-                    )
-                return ExecutionOutcome(
-                    tuples=execution.tuples,
-                    cost=execution.cost,
-                    from_cache=False,
-                    stats=execution.stats,
-                    plan=execution.plan,
-                    count=execution.count,
-                    scatter=execution.scatter,
-                    degraded=execution.degraded,
-                    missing_shards=execution.missing_shards,
-                )
-            plan = None
-            plan_cache_hit = False
-            compiled = False
-            if engine.plan_aware:
-                entry = self.plan_cache.get(signature)
-                if entry is None:
-                    _, canonical, plan = self.compiler.compile_canonical(query)
-                    self.plan_cache.put(signature, (canonical, plan))
-                    compiled = True
-                else:
-                    canonical, plan = entry
-                    plan_cache_hit = True
-                execution = engine.execute(canonical, self.database, plan=plan)
-            else:
-                # Plan-blind engines plan internally; the plan cache is
-                # neither consulted nor credited for them.
-                execution = engine.execute(query, self.database)
-            if not execution.plan_used:
-                plan_cache_hit = False
-            if execution.cacheable:
-                self.result_cache.put_result(
-                    signature, execution.tuples, query.relation_names(),
-                    query=query,
-                )
-            return ExecutionOutcome(
-                tuples=execution.tuples,
-                cost=execution.cost,
-                from_cache=False,
-                stats=execution.stats,
-                plan=execution.plan if execution.plan is not None else plan,
-                report=execution.report,
-                count=execution.count,
-                plan_cache_hit=plan_cache_hit,
-                compiled=compiled,
-            )
-
-        if not self.tracer.enabled:
-
-            def clocked_run() -> ExecutionOutcome:
-                # The virtual-time cursor advances whether or not a trace is
-                # recorded: the incremental maintainer's fault checks read
-                # it (an unreachable fragment cannot be patched *now*).
-                outcome = run()
-                self._trace_clock += outcome.cost
-                return outcome
-
-            return ResultSet(query, signature, engine.name, clocked_run, route=decision)
-
-        def traced_run() -> ExecutionOutcome:
-            # The sync path has no event loop; executions occupy successive
-            # windows of the session's virtual-time cursor.  The trace is
-            # derived entirely from the outcome, so the run itself is
-            # untouched.
-            outcome = run()
-            start = self._trace_clock
-            finish = start + outcome.cost
-            root = self.tracer.begin(
-                "query",
-                start,
-                {
-                    "query": query.name,
-                    "signature": signature,
-                    "backend": engine.name,
-                    "source": "session",
-                },
-            )
-            root.child(
-                "route",
-                start,
-                {"backend": engine.name, "pinned": route not in (None, "auto")},
-            )
-            if outcome.from_cache:
-                root.event("result_cache_hit", start, signature=signature)
-            elif engine.plan_aware and outcome.scatter is None:
-                root.child(
-                    "plan_cache",
-                    start,
-                    {"hit": outcome.plan_cache_hit, "compiled": outcome.compiled},
-                )
-            execute = root.child("execute", start, {"backend": engine.name})
-            execute.end(finish)
-            execute.attributes["cost_ns"] = outcome.cost
-            execute.attributes["cardinality"] = (
-                len(outcome.tuples) if outcome.tuples else (outcome.count or 0)
-            )
-            if outcome.from_cache:
-                execute.attributes["result_cache_hit"] = True
-            execute.attributes.update(join_stats_attributes(outcome.stats))
-            if outcome.scatter is not None:
-                attach_scatter_legs(execute, outcome.scatter)
-            root.end(finish)
-            self._trace_clock = finish
-            outcome.trace = self.tracer.finish(root)
-            return outcome
-
-        return ResultSet(query, signature, engine.name, traced_run, route=decision)
+        service = self.service
+        return ResultSet(
+            query,
+            signature,
+            decision.chosen,
+            lambda: service.serve(query, backend=decision.chosen, signature=signature),
+            route=decision,
+        )
 
     def explain(self, statement: object, route: str = "auto") -> Explanation:
         """Describe how ``statement`` would run: route, costs and plan.
@@ -693,20 +487,11 @@ class Session:
         Explaining a plan-aware route compiles (and caches) the canonical
         plan but executes nothing.
         """
-        stmt = coerce_statement(statement)
-        query = stmt.resolve(self.database)
-        self.database.validate_query(query)
-        signature = self.compiler.signature(query)
+        stmt, query, signature = self._prepare(statement)
         decision = self._route(query, route, signature, with_estimates=True)
-        engine = self.engines[decision.chosen]
         plan = None
-        if engine.plan_aware:
-            entry = self.plan_cache.get(signature)
-            if entry is None:
-                _, canonical, plan = self.compiler.compile_canonical(query)
-                self.plan_cache.put(signature, (canonical, plan))
-            else:
-                _canonical, plan = entry
+        if self.engines[decision.chosen].plan_aware:
+            _canonical, plan, _hit = self.service.plan_for(query, signature)
         estimate = decision.estimate_for(decision.chosen)
         return Explanation(
             statement=stmt,
@@ -718,41 +503,8 @@ class Session:
         )
 
     # ------------------------------------------------------------------ #
-    # Concurrent serving (delegates to repro.service)
+    # Serving
     # ------------------------------------------------------------------ #
-    @property
-    def service(self):
-        """The session's :class:`~repro.service.QueryService` (lazily built).
-
-        The service shares this session's database, compiler, caches,
-        engine instances and — under ``routing="auto"`` — its cost router,
-        so the two execution paths reuse each other's cached plans and
-        results.
-        """
-        if self._service is None:
-            from repro.service.service import QueryService
-
-            self._service = QueryService(
-                self.database,
-                backends=tuple(self.engines.values()),
-                compiler=self.compiler,
-                plan_cache=self.plan_cache,
-                result_cache=self.result_cache,
-                max_in_flight=self.max_in_flight,
-                max_queue_depth=self.max_queue_depth,
-                seed=self.seed,
-                router=self.router if self.routing == "auto" else None,
-                scatter=self._scatter,
-                backend=self.execution_backend,
-                workers=self.concurrency,
-                tracer=self.tracer,
-                faults=self.fault_plan,
-                on_shard_loss=self.on_shard_loss,
-                retry_policy=self.retry_policy,
-                maintenance=self.maintenance,
-            )
-        return self._service
-
     def serve(self, workload, seed: Optional[int] = None):
         """Serve a workload through the service layer; outcomes by request id.
 

@@ -95,6 +95,17 @@ from repro.graphs import (
 from repro.service import EXECUTION_BACKEND_NAMES, WorkloadSpec, generate_requests
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (shards, workers...)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for the tests)."""
     parser = argparse.ArgumentParser(
@@ -126,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument("--threads", type=int, default=32, help="hardware threads (triejax)")
     run_parser.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="partition the catalog across N shards and execute by scatter-gather",
     )
     run_parser.add_argument(
@@ -138,12 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="virtual",
         choices=list(EXECUTION_BACKEND_NAMES),
         help="execution backend from the shared registry "
-        "(repro.service.backends): 'virtual' executes synchronously; "
-        "'threads'/'process' serve the query through the service layer on "
-        "a worker pool (same results, wall-clock timing printed)",
+        "(repro.service.backends): 'virtual' runs the engine inline; "
+        "'threads'/'process' run it on a worker pool (same results)",
     )
     run_parser.add_argument(
-        "--workers", type=int, default=4,
+        "--workers", type=_positive_int, default=4,
         help="worker count of a pooled execution backend",
     )
     run_parser.add_argument(
@@ -194,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="'auto' (cost-based) or one engine name to pin",
     )
     explain_parser.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="explain against an N-shard catalog (scatter-gather pricing)",
     )
     explain_parser.add_argument(
@@ -259,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report)",
     )
     workload_parser.add_argument(
-        "--workers", type=int, default=4,
+        "--workers", type=_positive_int, default=4,
         help="worker count of a pooled execution backend",
     )
     workload_parser.add_argument(
@@ -281,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=2020, help="workload/admission RNG seed"
     )
     workload_parser.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="partition the catalog across N shards and serve by scatter-gather",
     )
     workload_parser.add_argument(
@@ -338,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--edge-list", default=None, help="initialise from a SNAP edge-list file instead"
     )
     store_init.add_argument(
-        "--shards", type=int, default=None, metavar="N",
+        "--shards", type=_positive_int, default=None, metavar="N",
         help="create a sharded store with N shards (default: monolithic)",
     )
     store_init.add_argument(
@@ -523,7 +533,7 @@ def _add_fault_arguments(parser) -> None:
         "surviving shards (partial)",
     )
     parser.add_argument(
-        "--replication-factor", type=int, default=1, metavar="R",
+        "--replication-factor", type=_positive_int, default=1, metavar="R",
         help="store R copies of every partitioned shard fragment on "
         "distinct shards, so retries can move to a replica (requires "
         "--shards >= R)",
@@ -591,8 +601,6 @@ def _cmd_run(args) -> int:
         )
     if session.num_shards > 1:
         print(session.database.describe())
-    if args.backend != "virtual":
-        return _run_on_service(session, statement, args, bool(storage_kwargs))
     result = session.execute(statement, route=args.engine)
     print(f"query: {result.query.to_datalog()}")
     print(f"matches: {result.cardinality}")
@@ -626,48 +634,6 @@ def _cmd_run(args) -> int:
             f"{summary['segments']} trie segment(s))"
         )
     session.close()
-    return 0
-
-
-def _run_on_service(session, statement, args, durable: bool) -> int:
-    """Serve a single ``run`` query through the session's service layer.
-
-    The pooled execution backends (``--backend threads|process``) live
-    behind :class:`repro.service.QueryService`, so the query goes through
-    submit/drain — the engine work actually runs on the configured worker
-    pool, while results and cache behaviour match the synchronous path.
-    """
-    query = statement.resolve(session.database)
-    service = session.service
-    request_id = service.submit(
-        query, backend=None if args.engine == "auto" else args.engine
-    )
-    started = time.perf_counter()
-    outcome = service.drain()[request_id]
-    elapsed = time.perf_counter() - started
-    record = outcome.record
-    print(f"query: {query.to_datalog()}")
-    print(f"matches: {outcome.cardinality}")
-    print(
-        f"served on: {record.backend} via the {args.backend} backend "
-        f"({args.workers} worker(s), {elapsed * 1e3:.1f} ms wall)"
-    )
-    if args.show_results > 0:
-        for row in sorted(outcome.tuples)[: args.show_results]:
-            print("  " + ", ".join(str(v) for v in row))
-    if args.trace:
-        from repro.obs import write_trace
-
-        count = write_trace(session.tracer, args.trace, args.trace_format)
-        print(f"wrote {count} {args.trace_format} trace record(s) to {args.trace}")
-    if durable:
-        summary = session.snapshot()
-        print(
-            f"store: snapshot {summary['snapshot_seq']} "
-            f"({summary['relations']} relation(s), "
-            f"{summary['segments']} trie segment(s))"
-        )
-    session.close()  # joins pools, unlinks shared-memory segments
     return 0
 
 
@@ -1065,9 +1031,24 @@ def _cmd_version() -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Bad input — an unknown pattern or engine, a malformed fault spec, a
+    missing file — ends in one ``repro: error: ...`` line on stderr and
+    exit status 2, the same status argparse uses for usage errors.
+    """
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
+    try:
+        return _dispatch(parser, args)
+    except (ValueError, KeyError, OSError) as error:
+        # KeyError's str() is the repr of its argument; show the message.
+        message = error.args[0] if isinstance(error, KeyError) and error.args else error
+        print(f"repro: error: {message}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(parser: argparse.ArgumentParser, args) -> int:
     if args.command == "datasets":
         return _cmd_datasets()
     if args.command == "queries":

@@ -231,7 +231,7 @@ def run_chaos_benchmarks(
         # Retries must be invisible outside the latency columns: identical
         # result sets and result-cache counters, request for request.  (The
         # per-request JoinStats equality lives in the fault-equivalence
-        # tests, where stats are directly inspectable on the sync path.)
+        # tests, where stats are directly inspectable on a ResultSet.)
         "transient_equivalent_to_fault_free": (
             transient["results"] == oracle["results"]
             and transient["result_cache"] == oracle["result_cache"]

@@ -1,9 +1,9 @@
 """Instrumentation bridges between the serving stack and the tracer.
 
-The serving layer (:mod:`repro.service.service`) and the synchronous API
-path (:mod:`repro.api.session`) both annotate their ``execute`` spans from
-the same engine outcome objects; these helpers keep that annotation in one
-place — :class:`~repro.joins.stats.JoinStats` counters onto the execute
+The serving layer (:mod:`repro.service.service`) — the one execution
+pipeline, which :meth:`repro.api.Session.execute` also submits to —
+annotates its ``execute`` spans from engine outcome objects; these helpers
+keep that annotation in one place — :class:`~repro.joins.stats.JoinStats` counters onto the execute
 span, and the per-shard scatter/gather legs reconstructed from a
 :class:`~repro.service.scatter.ScatterGatherStats` breakdown.
 

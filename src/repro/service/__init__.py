@@ -44,9 +44,10 @@ Quick start::
 Engines live in :mod:`repro.api.engines` (the single registry shared with
 :class:`repro.api.Session`); ``ExecutionBackend`` here names the
 *execution-loop* abstraction from :mod:`repro.service.backends`.
-:class:`QueryService` itself is most conveniently reached through
-:meth:`repro.api.Session.serve`, which shares the session's caches and
-cost router.
+Every :class:`repro.api.Session` is a facade over one
+:class:`QueryService` (``session.service``): its ``execute`` submits one
+request per forced result and ``serve`` a whole stream, on the same
+caches, router and records.
 """
 
 from repro.service.admission import (

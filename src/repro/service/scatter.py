@@ -290,30 +290,6 @@ class ScatterGatherExecutor:
         """Whether the attempt-walk path is armed (an injector is present)."""
         return self.injector is not None
 
-    def configure_faults(
-        self,
-        injector: Optional[FaultInjector] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        on_shard_loss: Optional[str] = None,
-    ) -> None:
-        """Arm or re-arm fault tolerance on an existing executor.
-
-        Used by :class:`~repro.service.service.QueryService` when it is
-        handed a pre-built executor (the :class:`~repro.api.session.Session`
-        path) together with fault knobs of its own.
-        """
-        if retry_policy is not None:
-            self.retry_policy = retry_policy
-            self.breakers = NodeBreakers(retry_policy)
-        if injector is not None:
-            self.injector = injector
-        if on_shard_loss is not None:
-            if on_shard_loss not in ("fail", "partial"):
-                raise ValueError(
-                    f"on_shard_loss must be 'fail' or 'partial', got {on_shard_loss!r}"
-                )
-            self.on_shard_loss = on_shard_loss
-
     def breaker_gate(self, now: float) -> Optional[Dict[int, bool]]:
         """Per-node breaker admission at virtual ``now`` (None when unarmed).
 
@@ -428,7 +404,7 @@ class ScatterGatherExecutor:
         degraded and non-cacheable.  ``breaker_gate`` is the per-node
         circuit-breaker admission computed at dispatch; when ``None`` and
         faults are armed, the executor gates and observes its own breakers
-        inline (the sequential :class:`~repro.api.session.Session` path).
+        inline (a direct sequential caller).
         """
         if spec is None:
             spec = self.spec_for(query)

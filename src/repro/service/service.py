@@ -1,9 +1,11 @@
-"""The query service: a concurrent, cache-reusing front end over the engines.
+"""The query service: the one execution pipeline over the engines.
 
 :class:`QueryService` turns the single-query reproduction into a serving
 system.  It owns a :class:`~repro.relational.catalog.Database` catalog and a
 set of execution backends (see :mod:`repro.api.engines`) and serves a
-stream of requests through three cooperating layers:
+stream of requests — a workload, or the single request each forced
+:class:`repro.api.ResultSet` submits through
+:meth:`repro.api.Session.execute` — through three cooperating layers:
 
 1. the **result cache** answers a repeated query without touching an engine
    and is invalidated (per relation) whenever the catalog mutates;
@@ -52,9 +54,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.api.engines import EngineExecution, EngineProtocol
 from repro.api.engines import create_engine as create_backend
 from repro.joins.compiler import QueryCompiler
+from repro.joins.plan import JoinPlan
 from repro.obs.instrument import annotate_execute_span
 from repro.obs.trace import Span, Tracer, coerce_tracer
-from repro.relational.catalog import Database
+from repro.relational.catalog import Database, MutationEvent
 from repro.relational.query import ConjunctiveQuery
 from repro.relational.sharding import ShardedDatabase
 from repro.service.admission import AdmissionController
@@ -104,7 +107,8 @@ class ServiceRequest:
     query: ConjunctiveQuery
     priority: str = "normal"
     arrival_time: float = 0.0
-    backend: Optional[str] = None  # None → service round-robin
+    backend: Optional[str] = None  # None → router or round-robin
+    signature: Optional[str] = None  # None → signed at dispatch
 
 
 @dataclass
@@ -116,14 +120,23 @@ class QueryOutcome:
     tuples are empty and its record is flagged ``failed``);
     :meth:`QueryService.serve` re-raises it for single-query callers, while
     :meth:`~QueryService.drain` keeps the whole batch's outcomes flowing.
+    ``execution`` is the engine (or scatter-gather) execution that computed
+    the tuples — stats, plan, report, count, shard breakdown — and ``None``
+    for result-cache hits and failures; ``trace`` is the request's finished
+    span tree when the service traces.
     """
 
     tuples: List[Tuple[int, ...]]
     record: QueryRecord
     error: Optional[ShardUnavailableError] = None
+    execution: Optional[EngineExecution] = None
+    trace: Optional[Span] = None
 
     @property
     def cardinality(self) -> int:
+        """Result count: the tuple count, or the count of a count-only run."""
+        if self.execution is not None:
+            return self.execution.cardinality
         return len(self.tuples)
 
 
@@ -191,12 +204,8 @@ class QueryService:
         A :class:`repro.api.routing.CostRouter` (or compatible) used to
         choose the backend of unpinned requests from the statistics-based
         cost estimates; ``None`` keeps the legacy round-robin rotation.
-    plan_cache / result_cache:
-        Externally owned caches to share (used by
-        :class:`repro.api.Session` so its synchronous path and the service
-        reuse each other's plans and results).  When a result cache is
-        passed in, the caller owns its invalidation wiring and the service
-        does not subscribe it again.
+        Decisions are memoised per canonical signature (see :meth:`route`)
+        until the catalog mutates.
     backend / workers:
         The *execution* backend (how admitted requests physically run, see
         :mod:`repro.service.backends`): ``"virtual"`` (deterministic
@@ -225,9 +234,10 @@ class QueryService:
     faults:
         A :class:`repro.service.faults.FaultPlan` (or a spec string, see
         :func:`repro.service.faults.parse_fault_spec`) arming deterministic
-        fault injection: the scatter executor gains the retry/timeout/
-        hedging attempt walk, and a ``crash:`` clause arms the process
-        backend's worker-crash trigger.
+        fault injection.  One rule: a *non-empty* plan arms the scatter
+        executor's retry/timeout/hedging attempt walk and its circuit
+        breakers, and a ``crash:`` clause arms the process backend's
+        worker-crash trigger; an empty plan arms nothing.
     on_shard_loss:
         ``"fail"`` (default): a shard lost on every replica raises a typed
         :class:`~repro.service.faults.ShardUnavailableError` — surfaced on
@@ -239,13 +249,16 @@ class QueryService:
         :class:`repro.service.faults.RetryPolicy` knobs for the
         fault-tolerant scatter path (timeouts, backoff, hedging, breaker).
     maintenance:
-        How caches this service owns track catalog mutations:
-        ``"recompute"`` (default) drops dependent entries;
-        ``"incremental"`` patches them in place with semi-naive delta
-        joins through a :class:`~repro.service.maintenance.ResultMaintainer`
-        (non-patchable events still drop).  Ignored for externally owned
-        caches — their owner (e.g. :class:`repro.api.Session`) wires
-        maintenance itself.
+        How the caches track catalog mutations: ``"recompute"`` (default)
+        drops dependent entries; ``"incremental"`` patches them in place
+        with semi-naive delta joins through a
+        :class:`~repro.service.maintenance.ResultMaintainer` (non-patchable
+        events still drop).
+
+    The service owns its plan cache, result cache, shard-partial cache
+    (behind :attr:`scatter`, for a sharded catalog), maintainer and fault
+    injector; :class:`repro.api.Session` is a facade over one service and
+    exposes these same objects.
     """
 
     def __init__(
@@ -258,10 +271,7 @@ class QueryService:
         max_in_flight: int = 4,
         max_queue_depth: Optional[int] = None,
         seed: int = 2020,
-        plan_cache: Optional[PlanCache] = None,
-        result_cache: Optional[ResultCache] = None,
         router=None,
-        scatter: Optional[ScatterGatherExecutor] = None,
         backend: Union[str, ExecutionBackend, None] = None,
         workers: Optional[int] = None,
         backdated_arrivals: str = "warn",
@@ -301,11 +311,11 @@ class QueryService:
         self.router = router
         self.backends: Dict[str, EngineProtocol] = {}
         self._rotation: List[str] = []
+        self._route_memo: Dict[str, object] = {}
         for entry in backends:
-            engine = create_backend(entry) if isinstance(entry, str) else entry
-            self.backends[engine.name] = engine
-            self._rotation.append(engine.name)
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache(plan_cache_capacity)
+            self.add_backend(create_backend(entry) if isinstance(entry, str) else entry)
+        self.plan_cache = PlanCache(plan_cache_capacity)
+        self.result_cache = ResultCache(result_cache_capacity)
         self.admission: AdmissionController[ServiceRequest] = AdmissionController(
             max_in_flight=max_in_flight, max_queue_depth=max_queue_depth, seed=seed
         )
@@ -323,72 +333,70 @@ class QueryService:
         # Submission state (ids, pending list, last arrival) may be touched
         # from worker threads of a closed-loop driver; the drain lock
         # serialises whole drains so two threads never run the event loop
-        # concurrently over the same admission/cache state.
+        # concurrently over the same admission/cache state.  It is
+        # re-entrant because serve() holds it from submit through drain.
         self._submit_lock = threading.Lock()
-        self._drain_lock = threading.Lock()
-        self.maintenance = maintenance
-        self.maintainer: Optional[ResultMaintainer] = None
-        owns_result_cache = result_cache is None
-        if result_cache is not None:
-            self.result_cache = result_cache
-        else:
-            self.result_cache = ResultCache(result_cache_capacity)
-        owns_scatter = scatter is None and isinstance(database, ShardedDatabase)
-        if scatter is not None:
-            self.scatter = scatter
-        elif isinstance(database, ShardedDatabase):
-            # Per-shard partial results, maintained fragment-by-fragment
-            # by the catalog's shard-tagged mutation events.
-            self.scatter = ScatterGatherExecutor(
-                database, ResultCache(result_cache_capacity), compiler=self.compiler
-            )
-        else:
-            self.scatter = None
-        # Mutation wiring.  Caches this service *owns* track the catalog:
-        # under "recompute" each mutation drops dependent entries; under
-        # "incremental" one ResultMaintainer patches both caches with
-        # semi-naive delta joins (falling back to drops per event).
-        # Externally owned caches (the Session path) are wired by the caller.
-        if owns_result_cache and maintenance == "incremental":
-            self.maintainer = ResultMaintainer(
-                database,
-                self.result_cache,
-                scatter=self.scatter if owns_scatter else None,
-                compiler=self.compiler,
-                mode="incremental",
-                clock=lambda: self._clock,
-            )
-            database.subscribe_invalidation(self.maintainer.on_mutation)
-        else:
-            if owns_result_cache:
-                database.subscribe_invalidation(self.result_cache.invalidate)
-            if owns_scatter:
-                database.subscribe_invalidation(
-                    self.scatter.partial_cache.invalidate
-                )
-        # Fault injection: arm the scatter executor's attempt walk and the
-        # process backend's crash trigger.  A pre-built executor (the
-        # Session path) may arrive already armed; explicit knobs here win.
+        self._drain_lock = threading.RLock()
         self.fault_plan = (
             coerce_fault_plan(faults, seed=seed) if faults is not None else None
         )
         injector = (
-            FaultInjector(self.fault_plan) if self.fault_plan is not None else None
+            FaultInjector(self.fault_plan)
+            if self.fault_plan is not None and not self.fault_plan.empty
+            else None
         )
-        if self.scatter is not None and (
-            injector is not None
-            or retry_policy is not None
-            or on_shard_loss != "fail"
-        ):
-            self.scatter.configure_faults(
-                injector=injector,
+        if isinstance(database, ShardedDatabase):
+            # Per-shard partial results, maintained fragment-by-fragment
+            # by the catalog's shard-tagged mutation events.
+            self.scatter: Optional[ScatterGatherExecutor] = ScatterGatherExecutor(
+                database,
+                ResultCache(result_cache_capacity),
+                compiler=self.compiler,
                 retry_policy=retry_policy,
+                injector=injector,
                 on_shard_loss=on_shard_loss,
             )
+        else:
+            self.scatter = None
         if injector is not None and injector.crash_after is not None:
             runner = getattr(self.execution_backend, "_runner", None)
             if runner is not None:
                 runner.crash_after = injector.crash_after
+        self.maintenance = maintenance
+        self.maintainer: Optional[ResultMaintainer] = None
+        if maintenance == "incremental":
+            self.maintainer = ResultMaintainer(
+                database,
+                self.result_cache,
+                scatter=self.scatter,
+                compiler=self.compiler,
+                mode="incremental",
+                clock=lambda: self._clock,
+            )
+        database.subscribe_invalidation(self._on_mutation)
+
+    def _on_mutation(self, event: MutationEvent) -> None:
+        """Keep the caches and the route memo in step with one catalog mutation.
+
+        Under ``"incremental"`` the maintainer patches (or drops) both the
+        result cache and the shard-partial cache; otherwise dependent
+        entries drop.  Route decisions always clear: cost estimates read
+        relation statistics.
+        """
+        if self.maintainer is not None:
+            self.maintainer.on_mutation(event)
+        else:
+            self.result_cache.invalidate(event)
+            if self.scatter is not None:
+                self.scatter.partial_cache.invalidate(event)
+        self._route_memo.clear()
+
+    def add_backend(self, engine: EngineProtocol) -> None:
+        """Make ``engine`` servable (latest name wins); clears the route memo."""
+        if engine.name not in self.backends:
+            self._rotation.append(engine.name)
+        self.backends[engine.name] = engine
+        self._route_memo.clear()
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -399,6 +407,7 @@ class QueryService:
         priority: str = "normal",
         arrival_time: Optional[float] = None,
         backend: Optional[str] = None,
+        signature: Optional[str] = None,
     ) -> int:
         """Enqueue ``query``; returns its request id (serve with :meth:`drain`).
 
@@ -409,12 +418,17 @@ class QueryService:
         policy, the submission either warns (:class:`BackdatedArrivalWarning`;
         the request drains clamped to the clock) or is rejected with
         ``ValueError`` and nothing is enqueued.
+
+        ``signature`` is the query's canonical signature from a caller that
+        already validated and signed it (:meth:`repro.api.Session.execute`);
+        both steps are then skipped here.
         """
         if backend is not None and backend not in self.backends:
             raise KeyError(
                 f"backend {backend!r} not configured; have {sorted(self.backends)}"
             )
-        self.database.validate_query(query)
+        if signature is None:
+            self.database.validate_query(query)
         if arrival_time is not None and arrival_time < self._clock:
             message = (
                 f"arrival_time {arrival_time:.1f} lies before the service "
@@ -429,7 +443,7 @@ class QueryService:
                 arrival_time = self._last_arrival
             self._last_arrival = max(self._last_arrival, arrival_time)
             request = ServiceRequest(
-                self._next_request_id, query, priority, arrival_time, backend
+                self._next_request_id, query, priority, arrival_time, backend, signature
             )
             self._next_request_id += 1
             self._pending.append(request)
@@ -489,25 +503,37 @@ class QueryService:
                 )
 
     def serve(
-        self, query: ConjunctiveQuery, priority: str = "normal", backend: Optional[str] = None
+        self,
+        query: ConjunctiveQuery,
+        priority: str = "normal",
+        backend: Optional[str] = None,
+        signature: Optional[str] = None,
     ) -> QueryOutcome:
         """Submit one query and serve everything pending; returns its outcome.
 
         Re-raises the typed :class:`ShardUnavailableError` of a request
         that failed on unrecoverable shard loss (``on_shard_loss="fail"``);
         batch callers using :meth:`drain` directly get the error on the
-        outcome instead.
+        outcome instead.  ``signature`` is passed to :meth:`submit`.
+
+        Safe to call from several threads: the drain lock is held from
+        submit to drain, so no other thread's drain can take this request
+        and keep its outcome.
         """
-        request_id = self.submit(query, priority=priority, backend=backend)
-        outcome = self.drain()[request_id]
+        with self._drain_lock:
+            request_id = self.submit(
+                query, priority=priority, backend=backend, signature=signature
+            )
+            outcome = self.drain()[request_id]
         if outcome.error is not None:
             raise outcome.error
         return outcome
 
     def close(self) -> None:
-        """Release the execution backend's host resources (worker pools,
-        shared-memory segments).  Idempotent — tear-down paths often close
-        both the session and the service they share a backend with.
+        """Detach from the catalog and release the execution backend's host
+        resources (worker pools, shared-memory segments).  Idempotent —
+        tear-down paths often close both the session and its service.  A
+        closed service's caches stop tracking catalog mutations.
 
         A service opened with ``storage_dir=`` also releases its durable
         store's file handles.
@@ -515,6 +541,7 @@ class QueryService:
         if self._closed:
             return
         self._closed = True
+        self.database.unsubscribe_invalidation(self._on_mutation)
         self.execution_backend.close()
         if self._owns_database:
             self.database.close()
@@ -579,12 +606,43 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # Execution of one request
     # ------------------------------------------------------------------ #
-    def _choose_backend(self, request: ServiceRequest) -> EngineProtocol:
+    def route(self, query: ConjunctiveQuery, signature: str, router=None):
+        """The cost router's decision for ``query``, memoised per signature.
+
+        Estimates are pure functions of query structure and relation
+        statistics, so one :class:`~repro.api.routing.RouteDecision` per
+        canonical signature holds until the catalog mutates or the backend
+        set changes (both clear the memo).  ``router`` defaults to the
+        service's own; :class:`repro.api.Session` passes its router so
+        synchronous executions are cost-routed even when served requests
+        rotate.
+        """
+        decision = self._route_memo.get(signature)
+        if decision is None:
+            decision = (router or self.router).choose(query, self.database, self.backends)
+            self._route_memo[signature] = decision
+        return decision
+
+    def plan_for(
+        self, query: ConjunctiveQuery, signature: str
+    ) -> Tuple[ConjunctiveQuery, JoinPlan, bool]:
+        """``(canonical query, plan, cache hit)`` from the plan cache.
+
+        A miss compiles the canonical plan once and caches it under the
+        signature; plans depend only on query structure, never on data.
+        """
+        entry = self.plan_cache.get(signature)
+        if entry is not None:
+            return entry[0], entry[1], True
+        _, canonical, plan = self.compiler.compile_canonical(query)
+        self.plan_cache.put(signature, (canonical, plan))
+        return canonical, plan, False
+
+    def _choose_backend(self, request: ServiceRequest, signature: str) -> EngineProtocol:
         if request.backend is not None:
             return self.backends[request.backend]
         if self.router is not None:
-            decision = self.router.choose(request.query, self.database, self.backends)
-            return self.backends[decision.chosen]
+            return self.backends[self.route(request.query, signature).chosen]
         name = self._rotation[self._next_rotation % len(self._rotation)]
         self._next_rotation += 1
         return self.backends[name]
@@ -614,8 +672,8 @@ class QueryService:
         inline closure runs unchanged.
         """
         query = request.query
-        signature = self.compiler.signature(query)
-        backend = self._choose_backend(request)
+        signature = request.signature or self.compiler.signature(query)
+        backend = self._choose_backend(request, signature)
         prepared = _PreparedRequest(
             request=request,
             start_time=start_time,
@@ -698,14 +756,8 @@ class QueryService:
 
         prepared.cache_dependencies = query.relation_names()
         if backend.plan_aware:
-            entry = self.plan_cache.get(signature)
-            if entry is None:
-                _, canonical, plan = self.compiler.compile_canonical(query)
-                self.plan_cache.put(signature, (canonical, plan))
-                prepared.compiled = True
-            else:
-                canonical, plan = entry
-                prepared.plan_cache_hit = True
+            canonical, plan, prepared.plan_cache_hit = self.plan_for(query, signature)
+            prepared.compiled = not prepared.plan_cache_hit
             if prepared.trace is not None:
                 # Plan work is charged no virtual time; the probe/compile
                 # outcome lands as an instantaneous span at dispatch.
@@ -811,7 +863,9 @@ class QueryService:
             prepared.trace.end(record.finish_time)
         return _CompletedRequest(
             request_id=request.request_id,
-            outcome=QueryOutcome(tuples, record, error=prepared.error),
+            outcome=QueryOutcome(
+                tuples, record, error=prepared.error, execution=execution
+            ),
             record=record,
             cache_entry=cache_entry,
             partial_entries=prepared.partial_entries,
@@ -848,7 +902,7 @@ class QueryService:
             # Traces seal in completion order — the deterministic order both
             # execution backends share — so span ids never depend on host
             # scheduling.
-            self.tracer.finish(completed.trace)
+            completed.outcome.trace = self.tracer.finish(completed.trace)
         self.metrics.record(completed.record)
 
     # ------------------------------------------------------------------ #

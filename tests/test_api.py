@@ -243,6 +243,30 @@ class TestRouting:
         session.execute("cycle3")
         assert len(calls) == 2
 
+    def test_service_route_memoised_until_catalog_mutates(self, api_db):
+        calls = []
+
+        class SpyRouter(CostRouter):
+            def choose(self, query, database, engines):
+                calls.append(query.name)
+                return super().choose(query, database, engines)
+
+        database = workload_database(num_vertices=60, num_edges=300, seed=2020)
+        service = QueryService(database, backends=engine_names(), router=SpyRouter())
+        try:
+            service.serve(pattern_query("cycle3"))
+            service.serve(pattern_query("cycle3"))
+            renamed = Statement.from_datalog("q(a,b,c) = E(a,b), E(b,c), E(c,a).")
+            service.serve(renamed.resolve(database))  # α-equivalent
+            assert len(calls) == 1  # one decision per canonical signature
+            service.insert_tuples("E", [(8101, 8102)])  # statistics changed
+            service.serve(pattern_query("cycle3"))
+            assert len(calls) == 2
+            service.serve(pattern_query("path3"), backend="lftj")  # pinned
+            assert len(calls) == 2
+        finally:
+            service.close()
+
 
 # --------------------------------------------------------------------------- #
 # Session execution + ResultSet laziness

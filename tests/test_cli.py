@@ -350,3 +350,58 @@ class TestStoreCommands:
             == 0
         )
         assert "store: recovered" in capsys.readouterr().out
+
+
+# --------------------------------------------------------------------------- #
+# Input boundary: bad input is a one-line error and exit status 2
+# --------------------------------------------------------------------------- #
+SMALL = ["--dataset", "grqc", "--scale", "0.005"]
+
+
+def _exit_status(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exit:  # argparse usage errors
+        return exit.code
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "cycle3", "--shards", "-2"],
+            ["workload", "--shards", "-2"],
+            ["explain", "cycle3", "--shards", "0"],
+            ["run", "cycle3", "--backend", "threads", "--workers", "0"],
+            ["run", "cycle3", "--replication-factor", "0"],
+            ["run", "no-such-pattern", *SMALL, "--engine", "lftj"],
+            ["run", "cycle3", *SMALL, "--shards", "2", "--faults", "bogus"],
+            ["trace", "validate", "missing.jsonl"],
+        ],
+        ids=[
+            "run-shards", "workload-shards", "explain-shards", "workers",
+            "replication", "unknown-pattern", "bad-faults", "missing-trace",
+        ],
+    )
+    def test_bad_input_exits_2_without_a_traceback(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert _exit_status(argv) == 2
+        error = capsys.readouterr().err
+        assert "Traceback" not in error
+        assert error.strip().splitlines()[-1].split(": ")[1] == "error"
+
+
+class TestRunOnPooledBackends:
+    def test_pooled_backends_print_the_virtual_answer(self, capsys):
+        def matches(*backend):
+            argv = ["run", "cycle3", "--dataset", "grqc", "--scale", "0.01", "--engine", "lftj"]
+            assert main(argv + list(backend)) == 0
+            (line,) = [
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("matches:")
+            ]
+            return line
+
+        virtual = matches("--backend", "virtual")
+        assert matches("--backend", "threads", "--workers", "2") == virtual
+        assert matches("--backend", "process", "--workers", "2") == virtual

@@ -232,7 +232,11 @@ class TestSessionTracing:
         roots = session.tracer.spans
         assert len(roots) == 2
         first, second = roots
-        assert first.attributes["source"] == "session"
+        # Sync executions are service requests: the same span tree as served
+        # ones, pinned to the engine the session routed to.
+        assert [r.attributes["request_id"] for r in roots] == [0, 1]
+        assert [child.name for child in first.children][:2] == ["admission", "route"]
+        assert first.find("route").attributes["pinned"]
         execute = first.find("execute")
         assert execute.attributes["cost_ns"] == execute.duration_ns
         # Second run hits the result cache and is traced as such.

@@ -556,3 +556,50 @@ class TestBackdatedWarningExport:
         doc = BackdatedArrivalWarning.__doc__
         assert "(arrival_time, request_id)" in doc
         assert "repro.service" in doc  # names its re-export home
+
+
+# --------------------------------------------------------------------------- #
+# Session.execute from many threads: each forced ResultSet gets its answer
+# --------------------------------------------------------------------------- #
+class TestConcurrentSessionExecute:
+    @pytest.mark.parametrize("repeat", range(REPEATS))
+    def test_threads_forcing_result_sets_each_get_their_answer(self, repeat):
+        import sys
+
+        from repro.api import Session
+
+        names = ("cycle3", "path3", "cycle4", "clique4")
+        session = Session(
+            workload_database(num_vertices=30, num_edges=120, seed=3),
+            engines=("lftj", "ctj"),
+        )
+        expected = {name: session.execute(name).to_set() for name in names}
+        threads, calls = 8, 25
+        errors, answers = [], []
+        barrier = threading.Barrier(threads)
+
+        def worker(worker_id: int) -> None:
+            try:
+                barrier.wait()
+                for i in range(calls):
+                    name = names[(worker_id + i) % len(names)]
+                    answers.append((name, session.execute(name).to_set()))
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker, args=(t,)) for t in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            session.close()
+        assert not any(thread.is_alive() for thread in pool)
+        assert errors == []
+        assert len(answers) == threads * calls
+        assert all(rows == expected[name] for name, rows in answers)
+        assert len(session.service.metrics.records) == len(names) + threads * calls

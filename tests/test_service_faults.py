@@ -587,6 +587,73 @@ class TestSessionFaultEquivalence:
 
 
 # --------------------------------------------------------------------------- #
+# One pipeline: a sync execute is one served request
+# --------------------------------------------------------------------------- #
+#: Node 1 is down for the first queries: the breaker opens, answers degrade,
+#: then the node recovers and later repeats hit the result cache.
+PARITY_FAULTS = "down:1@0-12000"
+PARITY_QUERIES = ("cycle3", "path3", "cycle3", "clique4", "path3", "cycle4", "cycle3", "path3")
+
+
+def _twin_session() -> Session:
+    return Session(
+        workload_database(num_vertices=40, num_edges=200, seed=5),
+        engines=("lftj", "ctj"),
+        shards=2,
+        on_shard_loss="partial",
+        faults=PARITY_FAULTS,
+    )
+
+
+class TestSyncServedParity:
+    def test_sync_executes_match_served_requests(self):
+        with _twin_session() as sync, _twin_session() as served:
+            sync_steps, served_steps = [], []
+            for name in PARITY_QUERIES:
+                result = sync.execute(pattern_query(name, "E"))
+                sync_steps.append(
+                    (result.tuples, result.degraded, sync.service.scatter.breakers.state(1))
+                )
+                outcome = served.service.serve(pattern_query(name, "E"))
+                served_steps.append(
+                    (
+                        outcome.tuples,
+                        outcome.record.degraded,
+                        served.service.scatter.breakers.state(1),
+                    )
+                )
+            assert sync_steps == served_steps
+            degraded = [step[1] for step in sync_steps]
+            assert degraded[0] and not degraded[-1]  # the outage bit, then healed
+            assert "open" in [step[2] for step in sync_steps]
+            assert sync.service.metrics.records == served.service.metrics.records
+            for twin_caches in zip(
+                (sync.plan_cache, sync.result_cache, sync.service.scatter.partial_cache),
+                (served.plan_cache, served.result_cache, served.service.scatter.partial_cache),
+            ):
+                assert twin_caches[0].stats.as_dict() == twin_caches[1].stats.as_dict()
+            assert sync.result_cache.stats.hits > 0
+            assert f"requests completed   : {len(PARITY_QUERIES)}" in sync.report()
+
+
+class TestFaultArmingRule:
+    """One rule on every path: only a non-empty plan arms the attempt walk."""
+
+    @pytest.mark.parametrize(
+        ("faults", "armed"),
+        [(None, False), (FaultPlan(), False), ("down:1@5-6", True), ("crash:3", True)],
+    )
+    def test_session_and_service_arm_alike(self, faults, armed):
+        with _session(faults=faults) as session:
+            assert session.service.scatter.fault_tolerant is armed
+        service = _service(faults=faults)
+        try:
+            assert service.scatter.fault_tolerant is armed
+        finally:
+            service.close()
+
+
+# --------------------------------------------------------------------------- #
 # Backend equivalence under faults
 # --------------------------------------------------------------------------- #
 def _fault_snapshot(
